@@ -5,7 +5,8 @@
 #
 # Usage: scripts/ci.sh            (from the repository root)
 #   TIER1_TIMEOUT / FAULTS_TIMEOUT / OBS_TIMEOUT / BENCH_TIMEOUT /
-#   LINT_TIMEOUT / CHAOS_TIMEOUT override the caps (seconds).
+#   LINT_TIMEOUT / CHAOS_TIMEOUT / SELFTEST_TIMEOUT override the caps
+#   (seconds).
 
 set -eu
 
@@ -18,6 +19,7 @@ OBS_TIMEOUT="${OBS_TIMEOUT:-120}"
 BENCH_TIMEOUT="${BENCH_TIMEOUT:-600}"
 LINT_TIMEOUT="${LINT_TIMEOUT:-120}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-300}"
+SELFTEST_TIMEOUT="${SELFTEST_TIMEOUT:-240}"
 
 echo "==> static analysis (cap: ${LINT_TIMEOUT}s)"
 # AST invariant checkers (docs/static-analysis.md): schema drift,
@@ -182,5 +184,12 @@ timeout --kill-after=30 "$BENCH_TIMEOUT" sh -ec "
         '$OBS_TMP/BENCH_0.json' '$OBS_TMP/bench_events.jsonl'
     python -m repro bench compare BENCH_0.json '$OBS_TMP/BENCH_0.json' --gate
 "
+
+echo "==> benchmark input self-test (cap: ${SELFTEST_TIMEOUT}s)"
+# The repository benchmark (BENCHMARK.json, perfbench/) draws its inputs
+# from repro.workloads and repro.datasets: the same seed must give
+# identical inputs and another seed different ones, or its runs stop
+# being comparable across commits.
+timeout --kill-after=30 "$SELFTEST_TIMEOUT" python3 perfbench/selftest.py
 
 echo "==> CI green"

@@ -68,6 +68,10 @@ def _tree_structure(query: Graph, root: int) -> tuple[dict[int, list[int]], dict
     for p, c in edges:
         children[p].append(c)
         parent[c] = p
+    if len(parent) + 1 != query.num_vertices:
+        # Regions are grown along this tree; an unreached vertex would
+        # never get a candidate and every region would silently fail.
+        raise ValueError("query graph must be connected")
     return children, parent
 
 

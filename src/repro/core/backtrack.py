@@ -16,11 +16,11 @@ picks the one minimizing the configured weight — ``|C_M(u)|``
 (candidate-size) or ``w_M(u)`` from the precomputed weight array
 (path-size).
 
-**Failing sets** (§6).  With pruning enabled, each search-tree node
-computes a failing set — an ancestor-closed set ``F`` of query vertices
-such that no (CS-)embedding of ``q[F]`` extends ``M[F]`` — represented as
-an int bitmask.  ``None`` encodes "an embedding was found in this subtree"
-(the paper's F = emptyset, Case 1).  The three leaf classes:
+**Failing sets** (§6).  Each search-tree node computes a failing set — an
+ancestor-closed set ``F`` of query vertices such that no (CS-)embedding
+of ``q[F]`` extends ``M[F]`` — represented as an int bitmask.  ``None``
+encodes "an embedding was found in this subtree" (the paper's
+F = emptyset, Case 1).  The three leaf classes:
 
 - *conflict*: extendable candidate already visited by query vertex ``u'``
   → contributes ``anc(u) | anc(u')``;
@@ -31,6 +31,14 @@ Internal nodes take the union of their children's failing sets (Case 2.2)
 unless some child's failing set excludes the child's query vertex — then
 by Lemma 6.1 all remaining sibling candidates are redundant and the loop
 is cut short (Case 2.1).
+
+Pruning is data, not a second code path: the DA variants (failing sets
+off, Appendix A.6) run the same loop with every ``anc(u)`` set to all of
+V(q).  Every failing set is then V(q), which is always sound and never
+excludes a vertex, so Case 2.1 never fires.  The occupancy map
+``visited_by`` likewise stores, per occupied data vertex, the ancestor
+mask its conflict contributes; the boost extension's capacity engine
+reuses the loop by keeping an entry only while a hypervertex is full.
 
 **Leaf decomposition** (§3).  Degree-one query vertices are deferred and
 matched last by a specialized matcher that exploits their independence:
@@ -46,10 +54,7 @@ fault injection, and the cooperative SIGINT flag are polled) the engine
 can be captured into a :class:`repro.resilience.checkpoint.SearchCheckpoint`
 and later replayed onto a freshly prepared engine, continuing the search
 with **bit-identical** embeddings, order, and deterministic counters
-versus an uninterrupted run.  Subclasses that override ``_extend_fs`` /
-``_extend_plain`` with their own recursion (e.g. the boost extension's
-capacity engine) are detected at :meth:`BacktrackEngine.run` and simply
-opt out of checkpointing — their semantics are untouched.
+versus an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -162,7 +167,11 @@ class BacktrackEngine:
         n = dag.num_vertices
         self.n = n
         self.dag = dag
-        self.anc = tuple(dag.ancestor_mask(u) for u in range(n))
+        if config.use_failing_sets:
+            self.anc = tuple(dag.ancestor_mask(u) for u in range(n))
+        else:
+            # DA: every failing set is all of V(q), so nothing is ever cut.
+            self.anc = ((1 << n) - 1,) * n
         self.parents = tuple(dag.parents(u) for u in range(n))
         self.children = tuple(dag.children(u) for u in range(n))
         self.order = make_order(config.order, cs)
@@ -200,6 +209,8 @@ class BacktrackEngine:
         # Mutable search state.
         self.mapping = [-1] * n
         self.midx = [-1] * n
+        # Occupied data vertex -> ancestor mask of its occupier(s): the
+        # failing-set contribution of a conflict on it.
         self.visited_by: dict[int, int] = {}
         self.pending = [len(self.parents[u]) for u in range(n)]
         self.extendable: set[int] = set()
@@ -213,7 +224,6 @@ class BacktrackEngine:
         self._report_step = 0
         self._suspended = False
         self._interrupted = False
-        self._iterative = False
         self._root_indices = (
             None if root_candidate_indices is None else list(root_candidate_indices)
         )
@@ -234,26 +244,17 @@ class BacktrackEngine:
         """Execute the search; raises :class:`TimeoutSignal` on deadline."""
         if any(not c for c in self.cs.candidates):
             return  # empty CS: negative query, nothing to search (A.3)
-        # Subclasses that still override the extend paths with their own
-        # recursion keep their exact semantics but cannot checkpoint.
-        legacy = (
-            type(self)._extend_fs is not BacktrackEngine._extend_fs
-            or type(self)._extend_plain is not BacktrackEngine._extend_plain
-        )
-        self._iterative = not legacy
-        prev_handler = None
+        # Cooperative Ctrl-C: the first SIGINT sets a flag polled at the
+        # next safe phase so the suspension is checkpointable; a second
+        # SIGINT interrupts immediately (old behavior).
         installed = False
-        if not legacy:
-            # Cooperative Ctrl-C: the first SIGINT sets a flag polled at
-            # the next safe phase so the suspension is checkpointable; a
-            # second SIGINT interrupts immediately (old behavior).
-            try:
-                prev_handler = signal.getsignal(signal.SIGINT)
-                if prev_handler is not None:
-                    signal.signal(signal.SIGINT, self._on_sigint)
-                    installed = True
-            except ValueError:
-                installed = False  # not the main thread
+        try:
+            prev_handler = signal.getsignal(signal.SIGINT)
+            if prev_handler is not None:
+                signal.signal(signal.SIGINT, self._on_sigint)
+                installed = True
+        except ValueError:
+            pass  # not the main thread
         bound = False
         if FAULTS.active:
             # Let injected hangs see the live deadline so they can never
@@ -262,10 +263,7 @@ class BacktrackEngine:
             bound = True
         try:
             try:
-                if self.config.use_failing_sets:
-                    self._extend_fs()
-                else:
-                    self._extend_plain()
+                self._drive()
             except _LimitReached:
                 self._unwind()
                 self.limit_reached = True
@@ -320,7 +318,7 @@ class BacktrackEngine:
         self.mapping[u] = v
         self.midx[u] = i
         if self.injective:
-            self.visited_by[v] = u
+            self.visited_by[v] = self.anc[u]
         self.extendable.discard(u)
         self.mapped_core += 1
         for c in self.children[u]:
@@ -401,11 +399,7 @@ class BacktrackEngine:
     # ------------------------------------------------------------------
     def can_checkpoint(self) -> bool:
         """True when the run was suspended at a resumable safe phase."""
-        return (
-            self._suspended
-            and self._iterative
-            and self._state in (_ENTER_CORE, _ENTER_LEAF, _REPORT)
-        )
+        return self._suspended and self._state in _PHASE_NAMES
 
     def _fingerprint(self) -> dict:
         cfg = self.config
@@ -509,7 +503,7 @@ class BacktrackEngine:
                         raise CheckpointMismatchError(
                             f"frame {depth}: candidate {v} already occupied"
                         )
-                    self.visited_by[v] = u
+                    self.visited_by[v] = self.anc[u]
                 self.frames.append([_KIND_LEAF, u, idxs, pos, fs_union, bool(found), v])
                 self.mapping[u] = v
         self.stats.recursive_calls = ckpt.recursive_calls
@@ -520,8 +514,7 @@ class BacktrackEngine:
         self._state = _PHASE_CODES[ckpt.phase]
 
     def _unwind(self) -> None:
-        """Pop all frames after the limit is hit, restoring initial state
-        (the recursive form did this via its finally clauses)."""
+        """Pop all frames after the limit is hit, restoring initial state."""
         frames = self.frames
         while frames:
             frame = frames.pop()
@@ -535,14 +528,15 @@ class BacktrackEngine:
                     del self.visited_by[v]
 
     # ------------------------------------------------------------------
-    # Search with failing sets (DAF variants)
+    # The search
     # ------------------------------------------------------------------
-    def _extend_fs(self) -> None:
+    def _drive(self) -> None:
         """Explicit-stack search with failing-set pruning.
 
         Each search-tree node owns one frame; the drive loop's ``ret``
         carries the child's failing-set mask upward (None = an embedding
-        was found in that subtree, Case 1).
+        was found in that subtree, Case 1).  In DA mode every mask is
+        V(q), so the loop degenerates to plain backtracking.
         """
         stats = self.stats
         deadline = self.deadline
@@ -640,9 +634,9 @@ class BacktrackEngine:
                         if obs is not None:
                             obs.candidates_examined += 1
                         if injective:
-                            occupier = visited_by.get(v)
-                            if occupier is not None:
-                                contribution = anc[u] | anc[occupier]  # conflict class
+                            blocker = visited_by.get(v)
+                            if blocker is not None:
+                                contribution = anc[u] | blocker  # conflict class
                                 frame[_F_FS] |= contribution
                                 if obs is not None:
                                     obs.prune_conflict += 1
@@ -686,14 +680,14 @@ class BacktrackEngine:
                         if obs is not None:
                             obs.candidates_examined += 1
                         if injective:
-                            occupier = visited_by.get(v)
-                            if occupier is not None:
-                                frame[_F_FS] |= anc[u] | anc[occupier]
+                            blocker = visited_by.get(v)
+                            if blocker is not None:
+                                frame[_F_FS] |= anc[u] | blocker
                                 if obs is not None:
                                     obs.prune_conflict += 1
                                     obs.vertex_conflict[u] += 1
                                 continue
-                            visited_by[v] = u
+                            visited_by[v] = anc[u]
                         if obs is not None:
                             obs.children_entered += 1
                             obs.vertex_entered[u] += 1
@@ -749,170 +743,6 @@ class BacktrackEngine:
                     state = _ADVANCE
 
     # ------------------------------------------------------------------
-    # Search without failing sets (DA variants)
-    # ------------------------------------------------------------------
-    def _extend_plain(self) -> None:
-        stats = self.stats
-        deadline = self.deadline
-        frames = self.frames
-        candidates = self.cs.candidates
-        visited_by = self.visited_by
-        injective = self.injective
-        induced = self.induced
-        obs = self.obs
-        tracer = self.tracer
-        progress = self.progress
-        every = self.checkpoint_every
-        on_checkpoint = self.on_checkpoint
-        num_leaves = len(self.deferred_leaves)
-        state = self._state
-        while True:
-            if state == _ENTER_CORE:
-                self._state = _ENTER_CORE
-                if every and on_checkpoint is not None:
-                    calls = stats.recursive_calls
-                    if calls and calls % every == 0:
-                        on_checkpoint(self.capture_checkpoint())
-                if self._interrupted:
-                    raise KeyboardInterrupt
-                deadline.tick()
-                if FAULTS.active:
-                    FAULTS.fire("backtrack.step", calls=stats.recursive_calls + 1)
-                self._state = _UNSAFE
-                stats.recursive_calls += 1
-                if progress is not None:
-                    progress.tick(stats.recursive_calls, self.mapped_core)
-                if self.mapped_core == self.num_core:
-                    if not num_leaves:
-                        state = _REPORT
-                        continue
-                    if self._can_count_combinatorially():
-                        self._count_leaves()
-                        state = _RETURN
-                        continue
-                    state = _ENTER_LEAF
-                    continue
-                u = self._select()
-                cmu = self.cmu[u]
-                if not cmu:
-                    if obs is not None:
-                        obs.prune_empty += 1
-                        obs.vertex_empty[u] += 1
-                    state = _RETURN
-                    continue
-                frames.append([_KIND_CORE, u, cmu, 0, 0, False, -1])
-                state = _ADVANCE
-            elif state == _ENTER_LEAF:
-                self._state = _ENTER_LEAF
-                lpos = len(frames) - self.num_core
-                if lpos == num_leaves:
-                    state = _REPORT
-                    continue
-                deadline.tick()
-                self._state = _UNSAFE
-                u = self.deferred_leaves[lpos]
-                idxs = self._leaf_candidate_indices(u)
-                if not idxs:
-                    if obs is not None:
-                        obs.prune_empty += 1
-                        obs.vertex_empty[u] += 1
-                    state = _RETURN
-                    continue
-                frames.append([_KIND_LEAF, u, idxs, 0, 0, False, -1])
-                state = _ADVANCE
-            elif state == _REPORT:
-                self._state = _REPORT
-                self._report()
-                self._state = _UNSAFE
-                state = _RETURN
-            elif state == _ADVANCE:
-                frame = frames[-1]
-                u = frame[_F_U]
-                seq = frame[_F_SEQ]
-                pos = frame[_F_POS]
-                length = len(seq)
-                candidates_u = candidates[u]
-                advanced = False
-                if frame[_F_KIND] == _KIND_CORE:
-                    while pos < length:
-                        i = seq[pos]
-                        pos += 1
-                        v = candidates_u[i]
-                        if obs is not None:
-                            obs.candidates_examined += 1
-                        if injective and v in visited_by:
-                            if obs is not None:
-                                obs.prune_conflict += 1
-                                obs.vertex_conflict[u] += 1
-                            continue
-                        if induced and self._induced_violation(u, v) >= 0:
-                            if obs is not None:
-                                obs.prune_conflict += 1
-                                obs.vertex_conflict[u] += 1
-                            continue
-                        if obs is not None:
-                            obs.children_entered += 1
-                            obs.vertex_entered[u] += 1
-                        if tracer is not None:
-                            tracer.enter(u, v)
-                        frame[_F_POS] = pos
-                        frame[_F_V] = v
-                        self._map(u, i, v)
-                        advanced = True
-                        break
-                    if advanced:
-                        state = _ENTER_CORE
-                    else:
-                        frame[_F_POS] = pos
-                        frames.pop()
-                        state = _RETURN
-                else:
-                    while pos < length:
-                        i = seq[pos]
-                        pos += 1
-                        v = candidates_u[i]
-                        if obs is not None:
-                            obs.candidates_examined += 1
-                        if injective:
-                            if v in visited_by:
-                                if obs is not None:
-                                    obs.prune_conflict += 1
-                                    obs.vertex_conflict[u] += 1
-                                continue
-                            visited_by[v] = u
-                        if obs is not None:
-                            obs.children_entered += 1
-                            obs.vertex_entered[u] += 1
-                        frame[_F_POS] = pos
-                        frame[_F_V] = v
-                        self.mapping[u] = v
-                        advanced = True
-                        break
-                    if advanced:
-                        state = _ENTER_LEAF
-                    else:
-                        frame[_F_POS] = pos
-                        frames.pop()
-                        state = _RETURN
-            else:  # _RETURN
-                if not frames:
-                    break
-                frame = frames[-1]
-                u = frame[_F_U]
-                v = frame[_F_V]
-                if frame[_F_KIND] == _KIND_CORE:
-                    self._unmap(u, v)
-                    frame[_F_V] = -1
-                    if tracer is not None:
-                        tracer.leave(None, False)
-                else:
-                    self.mapping[u] = -1
-                    if injective:
-                        del visited_by[v]
-                    frame[_F_V] = -1
-                state = _ADVANCE
-
-    # ------------------------------------------------------------------
     # Leaf matching (§3: degree-one vertices matched last)
     # ------------------------------------------------------------------
     def _leaf_candidate_indices(self, u: int) -> tuple[int, ...]:
@@ -922,118 +752,6 @@ class BacktrackEngine:
 
     def _can_count_combinatorially(self) -> bool:
         return not self.collect and self.on_embedding is None
-
-    # The recursive leaf matchers below are no longer used by the
-    # explicit-stack drivers (which inline leaf handling so it can be
-    # checkpointed); they are kept because extension engines that still
-    # override _extend_fs/_extend_plain recursively call into them.
-    def _match_leaves_fs(self) -> Optional[int]:
-        leaves = self.deferred_leaves
-        if not leaves:
-            self._report()
-            return None
-        if self._can_count_combinatorially():
-            return self._count_leaves()
-        info = [(u, self._leaf_candidate_indices(u)) for u in leaves]
-        return self._leaf_rec_fs(info, 0)
-
-    def _leaf_rec_fs(self, info: list[tuple[int, tuple[int, ...]]], pos: int) -> Optional[int]:
-        if pos == len(info):
-            self._report()
-            return None
-        self.deadline.tick()
-        u, idxs = info[pos]
-        anc = self.anc
-        obs = self.obs
-        if not idxs:
-            if obs is not None:
-                obs.prune_empty += 1
-                obs.vertex_empty[u] += 1
-            return anc[u]
-        candidates_u = self.cs.candidates[u]
-        visited_by = self.visited_by
-        fs_union = 0
-        found_embedding = False
-        for i in idxs:
-            v = candidates_u[i]
-            if obs is not None:
-                obs.candidates_examined += 1
-            if self.injective:
-                occupier = visited_by.get(v)
-                if occupier is not None:
-                    fs_union |= anc[u] | anc[occupier]
-                    if obs is not None:
-                        obs.prune_conflict += 1
-                        obs.vertex_conflict[u] += 1
-                    continue
-                visited_by[v] = u
-            if obs is not None:
-                obs.children_entered += 1
-                obs.vertex_entered[u] += 1
-            self.mapping[u] = v
-            try:
-                child_fs = self._leaf_rec_fs(info, pos + 1)
-            finally:
-                self.mapping[u] = -1
-                if self.injective:
-                    del visited_by[v]
-            if child_fs is None:
-                found_embedding = True
-            elif not (child_fs >> u) & 1:
-                if obs is not None:
-                    obs.fs_cuts += 1
-                    skipped = len(idxs) - idxs.index(i) - 1
-                    obs.prune_failing_set += skipped
-                    obs.vertex_fs_pruned[u] += skipped
-                return None if found_embedding else child_fs
-            else:
-                fs_union |= child_fs
-        return None if found_embedding else fs_union
-
-    def _match_leaves_plain(self) -> None:
-        leaves = self.deferred_leaves
-        if not leaves:
-            self._report()
-            return
-        if self._can_count_combinatorially():
-            self._count_leaves()
-            return
-        info = [(u, self._leaf_candidate_indices(u)) for u in leaves]
-        self._leaf_rec_plain(info, 0)
-
-    def _leaf_rec_plain(self, info: list[tuple[int, tuple[int, ...]]], pos: int) -> None:
-        if pos == len(info):
-            self._report()
-            return
-        self.deadline.tick()
-        u, idxs = info[pos]
-        candidates_u = self.cs.candidates[u]
-        visited_by = self.visited_by
-        obs = self.obs
-        if not idxs and obs is not None:
-            obs.prune_empty += 1
-            obs.vertex_empty[u] += 1
-        for i in idxs:
-            v = candidates_u[i]
-            if obs is not None:
-                obs.candidates_examined += 1
-            if self.injective:
-                if v in visited_by:
-                    if obs is not None:
-                        obs.prune_conflict += 1
-                        obs.vertex_conflict[u] += 1
-                    continue
-                visited_by[v] = u
-            if obs is not None:
-                obs.children_entered += 1
-                obs.vertex_entered[u] += 1
-            self.mapping[u] = v
-            try:
-                self._leaf_rec_plain(info, pos + 1)
-            finally:
-                self.mapping[u] = -1
-                if self.injective:
-                    del visited_by[v]
 
     def _count_leaves(self) -> Optional[int]:
         """Count leaf assignments combinatorially (counting mode only).
@@ -1071,9 +789,9 @@ class BacktrackEngine:
                     if obs is not None:
                         obs.candidates_examined += 1
                     if self.injective:
-                        occupier = self.visited_by.get(v)
-                        if occupier is not None:
-                            conflict_mask |= self.anc[occupier]
+                        blocker = self.visited_by.get(v)
+                        if blocker is not None:
+                            conflict_mask |= blocker
                             if obs is not None:
                                 obs.prune_conflict += 1
                                 obs.vertex_conflict[u] += 1

@@ -29,11 +29,12 @@ is the capacity generalization of the paper's conflict class.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from typing import Callable, Optional
 
-from ..core.backtrack import BacktrackEngine
+from ..core.backtrack import BacktrackEngine, _count_injective, _LimitReached
 from ..core.candidate_space import build_candidate_space
 from ..core.config import MatchConfig
 from ..core.dag import build_dag
@@ -131,10 +132,15 @@ def _falling_factorial(n: int, k: int) -> int:
 class _CapacityEngine(BacktrackEngine):
     """DAF's engine over a hypergraph with per-vertex capacities.
 
-    Leaf decomposition's combinatorial counting does not generalize to
-    capacities, so callers construct this engine with
-    ``leaf_decomposition=False`` in the config (enforced by
-    :class:`BoostedDAFMatcher`); expansion happens in ``_report``.
+    Only the occupancy bookkeeping differs from the base engine, so only
+    ``_map``/``_unmap`` are overridden: a hypervertex enters the base
+    engine's ``visited_by`` map once it hosts ``capacity`` query vertices
+    (with the union of their ancestor masks, so a conflict on it pins
+    every occupier) and leaves it as soon as a slot frees.  The base
+    drive loop — failing sets, checkpoints, cooperative Ctrl-C — then
+    runs unchanged.  ``_count_leaves`` counts leaves over free member
+    slots and ``_report`` expands each compressed embedding into the
+    real ones behind it.
     """
 
     def __init__(self, capacities: list[int], members: list[list[int]], *args, **kwargs) -> None:
@@ -145,101 +151,26 @@ class _CapacityEngine(BacktrackEngine):
 
     # -- occupancy-aware mapping --------------------------------------
     def _map(self, u: int, i: int, v: int) -> None:
-        self.mapping[u] = v
-        self.midx[u] = i
-        self.occupiers.setdefault(v, []).append(u)
-        self.extendable.discard(u)
-        self.mapped_core += 1
-        for c in self.children[u]:
-            if self.deferred[c]:
-                continue
-            self.pending[c] -= 1
-            if self.pending[c] == 0:
-                cmu = self._compute_cmu(c)
-                self.cmu[c] = cmu
-                self.wmu[c] = self.order.vertex_weight(c, cmu)
-                self.extendable.add(c)
+        super()._map(u, i, v)  # marks v as fully occupied by u
+        holders = self.occupiers.setdefault(v, [])
+        holders.append(u)
+        if len(holders) < self.capacities[v]:
+            del self.visited_by[v]  # a member slot is still free
+        else:
+            mask = 0
+            for holder in holders:
+                mask |= self.anc[holder]
+            self.visited_by[v] = mask
 
     def _unmap(self, u: int, v: int) -> None:
-        for c in self.children[u]:
-            if self.deferred[c]:
-                continue
-            if self.pending[c] == 0:
-                self.extendable.discard(c)
-                self.cmu[c] = None
-            self.pending[c] += 1
-        self.mapped_core -= 1
-        self.extendable.add(u)
+        # The base releases v's visited_by entry, which only a full
+        # hypervertex holds yet; either way a slot is free afterwards.
+        self.visited_by.setdefault(v, 0)
+        super()._unmap(u, v)
         holders = self.occupiers[v]
         holders.remove(u)
         if not holders:
             del self.occupiers[v]
-        self.mapping[u] = -1
-        self.midx[u] = -1
-
-    def _blocked_mask(self, u: int, v: int) -> Optional[int]:
-        """None if ``v`` can host another query vertex; otherwise the
-        conflict contribution (anc(u) plus all occupiers' ancestors)."""
-        holders = self.occupiers.get(v)
-        if holders is None or len(holders) < self.capacities[v]:
-            return None
-        mask = self.anc[u]
-        for holder in holders:
-            mask |= self.anc[holder]
-        return mask
-
-    # -- search (capacity-aware copies of the base recursions) --------
-    def _extend_fs(self) -> Optional[int]:
-        self.stats.recursive_calls += 1
-        self.deadline.tick()
-        if self.mapped_core == self.num_core:
-            return self._match_leaves_fs()
-        u = self._select()
-        cmu = self.cmu[u]
-        if not cmu:
-            return self.anc[u]
-        candidates_u = self.cs.candidates[u]
-        fs_union = 0
-        found_embedding = False
-        for i in cmu:
-            v = candidates_u[i]
-            blocked = self._blocked_mask(u, v)
-            if blocked is not None:
-                fs_union |= blocked
-                continue
-            self._map(u, i, v)
-            try:
-                child_fs = self._extend_fs()
-            finally:
-                self._unmap(u, v)
-            if child_fs is None:
-                found_embedding = True
-            elif not (child_fs >> u) & 1:
-                return None if found_embedding else child_fs
-            else:
-                fs_union |= child_fs
-        return None if found_embedding else fs_union
-
-    def _extend_plain(self) -> None:
-        self.stats.recursive_calls += 1
-        self.deadline.tick()
-        if self.mapped_core == self.num_core:
-            self._match_leaves_plain()
-            return
-        u = self._select()
-        cmu = self.cmu[u]
-        if not cmu:
-            return
-        candidates_u = self.cs.candidates[u]
-        for i in cmu:
-            v = candidates_u[i]
-            if self._blocked_mask(u, v) is not None:
-                continue
-            self._map(u, i, v)
-            try:
-                self._extend_plain()
-            finally:
-                self._unmap(u, v)
 
     # -- capacity-aware leaf counting ----------------------------------
     def _count_leaves(self) -> Optional[int]:
@@ -266,8 +197,6 @@ class _CapacityEngine(BacktrackEngine):
         core_expansion = 1
         for v, used in core_usage.items():
             core_expansion *= _falling_factorial(self.capacities[v], used)
-
-        from ..core.backtrack import _count_injective
 
         groups: dict[object, list[int]] = {}
         for u in self.deferred_leaves:
@@ -329,8 +258,6 @@ class _CapacityEngine(BacktrackEngine):
             if self.on_embedding is not None:
                 self.on_embedding(embedding)
             if self.stats.embeddings_found >= self.limit:
-                from ..core.backtrack import _LimitReached
-
                 raise _LimitReached
 
 
@@ -340,8 +267,6 @@ class BoostedDAFMatcher(Matcher):
     name = "DAF-Boost"
 
     def __init__(self, config: Optional[MatchConfig] = None) -> None:
-        import dataclasses
-
         base = config if config is not None else MatchConfig()
         if base.induced or not base.injective:
             raise ValueError(
@@ -404,8 +329,6 @@ class BoostedDAFMatcher(Matcher):
         result = MatchResult(stats=stats)
         if cs.is_empty():
             return result
-        import dataclasses
-
         counting_only = not self.config.collect_embeddings and on_embedding is None
         effective = dataclasses.replace(
             self.config,

@@ -354,6 +354,12 @@ class MatchOptions:
     resume_from: Optional[Any] = None
     explain: bool = False
 
+    def __post_init__(self) -> None:
+        # 0 is a valid immediate deadline; a negative (or NaN) budget is a
+        # caller bug that would otherwise read as an ordinary timeout.
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be >= 0, got {self.time_limit!r}")
+
     @property
     def resolved_limit(self) -> int:
         return DEFAULT_LIMIT if self.limit is None else self.limit

@@ -24,13 +24,14 @@ from repro.baselines.graphql import (
 from repro.baselines.quicksi import edge_label_frequencies, qi_sequence
 from repro.baselines.spath import distance_label_signature, signature_dominates
 from repro.baselines.turboiso import (
+    TurboIsoMatcher,
     choose_start_vertex,
     explore_candidate_region,
     path_order,
 )
 from repro.baselines.ullmann import ullmann_refine
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from repro.interfaces import Deadline
+from repro.interfaces import Deadline, MatchRequest
 
 
 class TestGenericBacktracker:
@@ -210,6 +211,16 @@ class TestTurboIso:
         region = [{0}, {1, 2, 3}, {4}]
         order = path_order(query, 0, children, region)
         assert order == [0, 2, 1]
+
+    def test_disconnected_query_rejected_like_cfl(self):
+        # A-B plus an isolated A has 6 embeddings here, but regions grow
+        # along a spanning tree that never reaches the isolated vertex:
+        # refuse the query instead of answering 0.
+        query = Graph(labels=["A", "B", "A"], edges=[(0, 1)])
+        data = Graph(labels=["A", "B", "A", "B", "A"], edges=[(0, 1), (1, 2), (2, 3)])
+        for matcher in (TurboIsoMatcher(), CFLMatcher()):
+            with pytest.raises(ValueError, match="^query graph must be connected$"):
+                matcher.match(MatchRequest(query, data))
 
 
 class TestCFL:

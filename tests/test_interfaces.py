@@ -7,7 +7,14 @@ import pytest
 from dataclasses import fields
 
 from repro import DAFMatcher, Graph, MatchResult, SearchStats, is_embedding
-from repro.interfaces import Deadline, TimeoutSignal, WorkerOutcome, validate_inputs
+from repro.interfaces import (
+    Deadline,
+    MatchOptions,
+    MatchRequest,
+    TimeoutSignal,
+    WorkerOutcome,
+    validate_inputs,
+)
 
 
 class TestIsEmbedding:
@@ -54,6 +61,18 @@ class TestDeadline:
             deadline.tick()  # under the interval: no check yet
         with pytest.raises(TimeoutSignal):
             deadline.tick()
+
+
+class TestMatchOptionsValidation:
+    @pytest.mark.parametrize("bad", [-1, -0.001, float("nan")])
+    def test_negative_time_limit_rejected(self, bad):
+        with pytest.raises(ValueError, match="time_limit must be >= 0"):
+            MatchOptions(time_limit=bad)
+
+    def test_zero_time_limit_is_an_immediate_deadline(self, edge_query, triangle_data):
+        options = MatchOptions(time_limit=0)
+        result = DAFMatcher().match(MatchRequest(edge_query, triangle_data, options=options))
+        assert result.count <= 2
 
 
 class TestResultObjects:
